@@ -145,26 +145,30 @@ let resolve_jobs ~subcommand = function
       exit 2
 
 (* Time spans accept "200T" (units of T) or plain ticks. *)
+let parse_span s =
+  let len = String.length s in
+  if len > 1 && (s.[len - 1] = 'T' || s.[len - 1] = 't') then
+    Option.map (fun v -> `T v) (int_of_string_opt (String.sub s 0 (len - 1)))
+  else Option.map (fun v -> `Ticks v) (int_of_string_opt s)
+
+let pp_span fmt = function
+  | `T v -> Format.fprintf fmt "%dT" v
+  | `Ticks v -> Format.fprintf fmt "%d" v
+
+(* Ticks, given [t] ticks per T. *)
+let resolve_span ~t = function `T v -> v * t | `Ticks v -> v
+
 let span =
   let parse s =
-    let len = String.length s in
-    let bad () = Error (`Msg (Printf.sprintf "bad time span %S" s)) in
-    if len > 1 && (s.[len - 1] = 'T' || s.[len - 1] = 't') then
-      match int_of_string_opt (String.sub s 0 (len - 1)) with
-      | Some v -> Ok (`T v)
-      | None -> bad ()
-    else
-      match int_of_string_opt s with Some v -> Ok (`Ticks v) | None -> bad ()
+    match parse_span s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "bad time span %S" s))
   in
-  let print fmt = function
-    | `T v -> Format.fprintf fmt "%dT" v
-    | `Ticks v -> Format.fprintf fmt "%d" v
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, pp_span)
 
-(* SITE:DOWN is a crash-stop, SITE:DOWN..UP a crash-recover window.
-   Parsed leniently here; Fault.validate applies the real checks once
-   the horizon is known. *)
+(* SITE:DOWN is a crash-stop, SITE:DOWN..UP a crash-recover window; the
+   instants are time spans like --duration's.  Parsed leniently here;
+   Fault.validate applies the real checks once the horizon is known. *)
 let crash_arg =
   let spec =
     let parse s =
@@ -193,8 +197,8 @@ let crash_arg =
           in
           match
             ( int_of_string_opt (String.sub s 0 i),
-              int_of_string_opt down_s,
-              Option.map int_of_string_opt up_s )
+              parse_span down_s,
+              Option.map parse_span up_s )
           with
           | Some site, Some down, None -> Ok (site, down, None)
           | Some site, Some down, Some (Some up) -> Ok (site, down, Some up)
@@ -202,8 +206,8 @@ let crash_arg =
     in
     let print fmt (site, down, up) =
       match up with
-      | None -> Format.fprintf fmt "%d:%d" site down
-      | Some up -> Format.fprintf fmt "%d:%d..%d" site down up
+      | None -> Format.fprintf fmt "%d:%a" site pp_span down
+      | Some up -> Format.fprintf fmt "%d:%a..%a" site pp_span down pp_span up
     in
     Arg.conv (parse, print)
   in
@@ -212,23 +216,23 @@ let crash_arg =
     & opt (list spec) []
     & info [ "crash" ] ~docv:"SITE:DOWN[..UP]"
         ~doc:
-          "Crash sites at given instants (e.g. 1:2500,3:4000). A \
-           $(b,SITE:DOWN..UP) window crashes the site and recovers it at \
-           $(b,UP): WAL replay, the paper's in-doubt rule, rejoin — \
-           cluster and soak only.")
+          "Crash sites at given instants (e.g. 1:2500,3:4000, or in units \
+           of T like 2:50T). A $(b,SITE:DOWN..UP) window crashes the site \
+           and recovers it at $(b,UP): WAL replay, the paper's in-doubt \
+           rule, rejoin — cluster and soak only.")
 
 (* Crash-recover needs the cluster's durable stores and recovery rule;
    the single-transaction runner only models crash-stop. *)
-let crash_stop_only ~subcommand specs =
+let crash_stop_only ~subcommand ~t specs =
   List.map
     (fun (site, down, up) ->
       match up with
-      | None -> (Site_id.of_int site, Vtime.of_int down)
+      | None -> (Site_id.of_int site, Vtime.of_int (resolve_span ~t down))
       | Some up ->
           Format.eprintf
-            "--crash %d:%d..%d: crash-recover windows are a cluster/soak \
+            "--crash %d:%a..%a: crash-recover windows are a cluster/soak \
              feature; %s supports crash-stop SITE:DOWN only@."
-            site down up subcommand;
+            site pp_span down pp_span up subcommand;
           Format.eprintf "usage: tp_sim %s ... --crash SITE:DOWN@." subcommand;
           exit 2)
     specs
@@ -310,7 +314,7 @@ let run_cmd =
       {
         config with
         Runner.trace_enabled = not quiet;
-        crashes = crash_stop_only ~subcommand:"run" crashes;
+        crashes = crash_stop_only ~subcommand:"run" ~t crashes;
       }
     in
     let obs = match spans with Some _ -> Obs.create () | None -> Obs.disabled in
@@ -362,7 +366,7 @@ let spans_cmd =
       {
         config with
         Runner.trace_enabled = false;
-        crashes = crash_stop_only ~subcommand:"spans" crashes;
+        crashes = crash_stop_only ~subcommand:"spans" ~t crashes;
       }
     in
     let obs = Obs.create () in
@@ -490,7 +494,7 @@ let diagram_cmd =
       {
         config with
         Runner.trace_enabled = false;
-        crashes = crash_stop_only ~subcommand:"diagram" crashes;
+        crashes = crash_stop_only ~subcommand:"diagram" ~t crashes;
       }
     in
     print_string (Diagram.run protocol config);
@@ -870,10 +874,7 @@ let cluster_cmd =
       window queue_limit policy pause crashes json quiet seeds all_policies
       grid_size jobs spans metrics_out metrics_every profile =
     let t_unit = Vtime.of_int t in
-    let resolve = function
-      | `T v -> Vtime.of_int (v * t)
-      | `Ticks v -> Vtime.of_int v
-    in
+    let resolve span = Vtime.of_int (resolve_span ~t span) in
     if List.length heals > List.length cuts then begin
       Format.eprintf "more --heal instants than --cut instants@.";
       exit 2
@@ -911,7 +912,12 @@ let cluster_cmd =
        a recover instant past the horizon could never fire. *)
     let fault_specs =
       List.map
-        (fun (site, down, up) -> { Cluster.Fault.site; down; up })
+        (fun (site, down, up) ->
+          {
+            Cluster.Fault.site;
+            down = resolve_span ~t down;
+            up = Option.map (resolve_span ~t) up;
+          })
         crashes
     in
     let horizon =
@@ -923,7 +929,7 @@ let cluster_cmd =
         Format.eprintf "invalid --crash schedule: %s@." msg;
         Format.eprintf
           "usage: tp_sim cluster ... --crash SITE:DOWN[..UP][,...]   \
-           (instants in ticks, before the horizon; UP > DOWN)@.";
+           (instants in ticks or T, before the horizon; UP > DOWN)@.";
         exit 2);
     let cl_crashes, cl_recoveries = Cluster.Fault.split fault_specs in
     let config =
@@ -1126,10 +1132,7 @@ let soak_cmd =
   let run protocol n t seed delay pessimistic epochs segment load fault_free
       json jobs metrics_out metrics_every =
     let t_unit = Vtime.of_int t in
-    let resolve = function
-      | `T v -> Vtime.of_int (v * t)
-      | `Ticks v -> Vtime.of_int v
-    in
+    let resolve span = Vtime.of_int (resolve_span ~t span) in
     let delay =
       match delay with
       | `Minimal -> Delay.minimal
@@ -1341,10 +1344,14 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
+(* A command line that does not parse (a malformed span or --crash
+   spec, an unknown option) exits 2 with usage, like every other input
+   error here, rather than with cmdliner's own code. *)
 let () =
   let doc = "Termination protocol for simple network partitioning (ICDE 1987)" in
   let info = Cmd.info "tp_sim" ~doc in
-  exit (Cmd.eval' (Cmd.group info
+  let code =
+    Cmd.eval' (Cmd.group info
        [
          analyze_cmd;
          cases_cmd;
@@ -1359,4 +1366,6 @@ let () =
          soak_cmd;
          spans_cmd;
          sweep_cmd;
-       ]))
+       ])
+  in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

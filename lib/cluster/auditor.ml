@@ -111,6 +111,13 @@ let mark_recovered t ~site =
      supplies it via the recovery rule). *)
   t.dead <- Site_id.Set.remove site t.dead
 
+let retire t ~tid =
+  match Hashtbl.find_opt t.txns tid with
+  | Some txn when txn.settled -> Hashtbl.remove t.txns tid
+  | Some _ ->
+      invalid_arg (Printf.sprintf "Auditor.retire: t%d has not settled" tid)
+  | None -> invalid_arg (Printf.sprintf "Auditor.retire: unknown tid %d" tid)
+
 let open_txns t = t.open_count
 
 let settled t = t.settled_count

@@ -49,6 +49,15 @@ val mark_recovered : t -> site:Site_id.t -> unit
     decision recorded for one of those is still checked for agreement
     and counted toward conservation). *)
 
+val retire : t -> tid:int -> unit
+(** Forget a settled transaction whose every site has decided.  Its
+    verdict already lives in the running totals ({!settled},
+    {!applied_total}, {!atomic_expected_total}, {!torn_tids}), which do
+    not change; a later {!record} for the tid raises like an unknown
+    one.  The runtime calls this when it retires the transaction, so
+    the auditor holds only in-flight work.
+    @raise Invalid_argument on an unknown or unsettled tid. *)
+
 val open_txns : t -> int
 (** Registered but not yet settled. *)
 

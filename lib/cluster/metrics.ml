@@ -200,14 +200,28 @@ let snapshot t cursor ~at ~final =
       (counters t)
   in
   let upto_bucket = if final then max_int else bucket_of t at in
+  (* A periodic cut reads only its own window's buckets, so its cost
+     follows the window, not the run; the final cut has no upper bound
+     and folds the whole series once. *)
+  let window_cells name =
+    if final then
+      List.filter (fun (b, _) -> b >= cursor.next_series_bucket) (series t name)
+    else
+      match Hashtbl.find_opt t.serieses name with
+      | None -> []
+      | Some buckets ->
+          let cells = ref [] in
+          for b = upto_bucket - 1 downto cursor.next_series_bucket do
+            match Hashtbl.find_opt buckets b with
+            | Some c -> cells := (b, !c) :: !cells
+            | None -> ()
+          done;
+          !cells
+  in
   let snap_series =
     List.filter_map
       (fun name ->
-        match
-          List.filter
-            (fun (b, _) -> b >= cursor.next_series_bucket && b < upto_bucket)
-            (series t name)
-        with
+        match window_cells name with
         | [] -> None
         | cells -> Some (name, cells))
       (series_names t)

@@ -86,6 +86,7 @@ type report = {
   events_run : int;
       (* engine events executed (deterministic); in to_json's "runtime"
          section so snapshot streams can be cross-checked *)
+  retired : int;  (* dropped before the horizon; not serialized *)
   snapshots : Metrics.snapshot list;
       (* windowed telemetry, oldest first; empty unless
          [config.snapshot_every] *)
@@ -193,6 +194,7 @@ module Run (P : Site.S) = struct
     master : Site_id.t;
     admitted_at : Vtime.t;
     mutable instances : P.t array;
+    mutable ctxs : Ctx.t array;  (* the instances' contexts, same order *)
     decisions : Types.decision option array;
     fenced : bool array;
         (* a fenced site's protocol instance is a ghost: its volatile
@@ -204,6 +206,7 @@ module Run (P : Site.S) = struct
            decision *)
     mutable terminated : bool;
     mutable settled : bool;
+    mutable in_flight : int;  (* sent, not yet delivered, bounced or lost *)
   }
 
   type state = {
@@ -218,6 +221,10 @@ module Run (P : Site.S) = struct
     stores : Durable_site.t array;
     scheduler : Tm.txn_spec Scheduler.t;
     txns : (int, txn_rt) Hashtbl.t;
+        (* admitted and not yet retired *)
+    retiring : txn_rt Queue.t;
+        (* settled with every site decided, waiting to go quiet *)
+    mutable retired : int;
     metrics : Metrics.t;
     auditor : Auditor.t;
     dead : bool array;  (* crash-stopped sites, index = physical - 1 *)
@@ -282,8 +289,30 @@ module Run (P : Site.S) = struct
       rt.decisions;
     !ok
 
+  let all_decided rt = Array.for_all Option.is_some rt.decisions
+
+  (* A transaction may be retired — dropped from [state.txns] and the
+     auditor — only once nothing can happen to it any more: it settled,
+     every site (crashed ones included) holds a decision, no message
+     for it is in flight and no instance has a timer pending.  Settling
+     alone is not enough: acceptor traffic and retry timers outlive the
+     decisions, and a site that never decided still adopts one on
+     recovery.  [retiring] holds the settled, fully decided ones; the
+     once-per-T pump retires those that have gone quiet. *)
+  let retire_quiet state =
+    for _ = 1 to Queue.length state.retiring do
+      let rt = Queue.pop state.retiring in
+      if rt.in_flight = 0 && Array.for_all Ctx.quiet rt.ctxs then begin
+        Hashtbl.remove state.txns rt.spec.Tm.tid;
+        Auditor.retire state.auditor ~tid:rt.spec.Tm.tid;
+        state.retired <- state.retired + 1
+      end
+      else Queue.push rt state.retiring
+    done
+
   let rec settle state rt =
     rt.settled <- true;
+    if all_decided rt then Queue.push rt state.retiring;
     if state.obs_on then obs_seal_track state rt.spec.Tm.tid;
     let at = now state in
     let m = state.metrics in
@@ -322,6 +351,7 @@ module Run (P : Site.S) = struct
 
   and apply_decision state rt phys_index decision ~durable =
     rt.decisions.(phys_index) <- Some decision;
+    if rt.settled && all_decided rt then Queue.push rt state.retiring;
     let site = Site_id.of_int (phys_index + 1) in
     (if durable then
        let d = store state site in
@@ -411,6 +441,7 @@ module Run (P : Site.S) = struct
         master;
         admitted_at = at;
         instances = [||];
+        ctxs = [||];
         decisions = Array.make n None;
         (* A site that is down at admission never sees the transaction:
            no durable begin, and its instance is born fenced. *)
@@ -418,6 +449,7 @@ module Run (P : Site.S) = struct
         awaiting = Array.make n false;
         terminated = false;
         settled = false;
+        in_flight = 0;
       }
     in
     Hashtbl.add state.txns spec.Tm.tid rt;
@@ -426,7 +458,7 @@ module Run (P : Site.S) = struct
       | Some updates -> updates
       | None -> []
     in
-    let instances =
+    let created =
       Array.init n (fun i ->
           let phys = Site_id.of_int (i + 1) in
           if not state.dead.(i) then begin
@@ -454,8 +486,10 @@ module Run (P : Site.S) = struct
             if Site_id.is_master self then Site.Master_role
             else Site.Slave_role { vote_yes = true }
           in
-          P.create ctx role)
+          (ctx, P.create ctx role))
     in
+    let instances = Array.map snd created in
+    rt.ctxs <- Array.map fst created;
     rt.instances <- instances;
     (* Same guard as Tm: a site cut off before the transaction reaches
        it sits in its initial state forever; abort it locally well past
@@ -586,6 +620,8 @@ module Run (P : Site.S) = struct
             ~pause_during_cut:config.pause_during_cut ~window:config.window
             ~n:config.n ();
         txns = Hashtbl.create 256;
+        retiring = Queue.create ();
+        retired = 0;
         metrics;
         auditor = Auditor.create ~n:config.n ();
         dead = Array.make config.n false;
@@ -773,52 +809,71 @@ module Run (P : Site.S) = struct
                  pump state
                end)))
       config.recoveries;
-    (* Count termination-protocol probes directly off the wire. *)
+    (* Count termination-protocol probes directly off the wire, and
+       each transaction's messages in flight.  Only a tracked instance
+       can send, and nothing retires with a message in flight, so a
+       message for a retired tid means the retirement rule let go too
+       early. *)
+    let tracked (env : wire Network.envelope) =
+      match Hashtbl.find_opt state.txns env.payload.wtid with
+      | Some rt -> rt
+      | None ->
+          failwith
+            (Printf.sprintf "Runtime: message for retired t%d (retirement bug)"
+               env.payload.wtid)
+    in
     Network.set_tap net (fun event ->
         match event with
         | Network.Sent { env; _ } -> (
+            let rt = tracked env in
+            rt.in_flight <- rt.in_flight + 1;
             match env.payload.body with
             | Types.Probe _ -> Metrics.incr metrics "net.probes"
             | _ -> ())
+        | Network.Lost { env; at } when Vtime.( < ) env.sent_at at ->
+            (* Every hop takes at least one tick (Delay.clamp), so a loss
+               at the send instant is a dead sender's suppressed send,
+               which never counted as sent. *)
+            let rt = tracked env in
+            rt.in_flight <- rt.in_flight - 1
         | Network.Delivered _ | Network.Bounced _ | Network.Lost _ -> ());
     Network.set_handler net (fun phys delivery ->
-        let wtid =
+        let rt =
           match delivery with
-          | Network.Msg e | Network.Undeliverable e -> e.payload.wtid
+          | Network.Msg e | Network.Undeliverable e -> tracked e
         in
-        match Hashtbl.find_opt state.txns wtid with
-        | None -> ()
-        | Some rt ->
-            let n = config.n in
-            let relabel (e : wire Network.envelope) =
-              {
-                Network.src = logical_of ~n ~master:rt.master e.src;
-                dst = logical_of ~n ~master:rt.master e.dst;
-                payload = e.payload.body;
-                sent_at = e.sent_at;
-              }
-            in
-            let unwrapped =
-              match delivery with
-              | Network.Msg e -> Network.Msg (relabel e)
-              | Network.Undeliverable e -> Network.Undeliverable (relabel e)
-            in
-            let i = Site_id.to_int phys - 1 in
-            (* A fenced instance lost its volatile state in a crash;
-               deliveries that outlived the outage must not wake it. *)
-            if not rt.fenced.(i) then begin
-              let instance = rt.instances.(i) in
-              prof_enter state Prof.Protocol;
-              P.on_delivery instance unwrapped;
-              (* Reaching the prepared state must survive a restart. *)
-              (match P.state_name instance with
-              | "p" | "p1" ->
-                  let durable = store state phys in
-                  if Durable_site.status durable ~tid:wtid = `Active then
-                    Durable_site.prepare durable ~tid:wtid
-              | _ -> ());
-              prof_leave state
-            end);
+        rt.in_flight <- rt.in_flight - 1;
+        let wtid = rt.spec.Tm.tid in
+        let n = config.n in
+        let relabel (e : wire Network.envelope) =
+          {
+            Network.src = logical_of ~n ~master:rt.master e.src;
+            dst = logical_of ~n ~master:rt.master e.dst;
+            payload = e.payload.body;
+            sent_at = e.sent_at;
+          }
+        in
+        let unwrapped =
+          match delivery with
+          | Network.Msg e -> Network.Msg (relabel e)
+          | Network.Undeliverable e -> Network.Undeliverable (relabel e)
+        in
+        let i = Site_id.to_int phys - 1 in
+        (* A fenced instance lost its volatile state in a crash;
+           deliveries that outlived the outage must not wake it. *)
+        if not rt.fenced.(i) then begin
+          let instance = rt.instances.(i) in
+          prof_enter state Prof.Protocol;
+          P.on_delivery instance unwrapped;
+          (* Reaching the prepared state must survive a restart. *)
+          (match P.state_name instance with
+          | "p" | "p1" ->
+              let durable = store state phys in
+              if Durable_site.status durable ~tid:wtid = `Active then
+                Durable_site.prepare durable ~tid:wtid
+          | _ -> ());
+          prof_leave state
+        end);
     (* The open-loop arrival process: [load] transfers per 100T, evenly
        spaced, sites drawn from a seed-derived stream. *)
     let wl_rng = Rng.create (Int64.logxor config.seed 0x9E3779B97F4A7C15L) in
@@ -853,6 +908,7 @@ module Run (P : Site.S) = struct
     (* A once-per-T pump so queued arrivals drain on window slots and on
        heals even when no completion fires. *)
     let rec pump_loop () =
+      retire_quiet state;
       pump state;
       let next = Vtime.add (now state) config.t_unit in
       if Vtime.( <= ) next horizon then
@@ -928,6 +984,7 @@ module Run (P : Site.S) = struct
       trace = trace_store;
       trace_dropped = Trace.dropped trace_store;
       events_run = Engine.events_run engine;
+      retired = state.retired;
       snapshots = List.rev !snapshots;
       profile = Option.map Prof.report prof;
     }

@@ -111,6 +111,11 @@ type report = {
       (** engine events executed — deterministic, serialised in
           {!to_json}'s ["runtime"] section so snapshot streams can be
           cross-checked against the run *)
+  retired : int;
+      (** transactions dropped from the runtime's and the auditor's
+          tables before the horizon: settled, decided at every site,
+          with no message in flight and no timer pending.  Not
+          serialised: it is bookkeeping, not behaviour *)
   snapshots : Metrics.snapshot list;
       (** windowed telemetry cuts, oldest first (one per
           [snapshot_every] boundary plus the final horizon cut); empty

@@ -87,7 +87,7 @@ module Make_full (V : CONFIG) = struct
   type t = { ctx : Ctx.t; timer : Ctx.Timer_slot.slot; mutable machine : machine }
 
   let create ctx role =
-    let timer = Ctx.Timer_slot.create () in
+    let timer = Ctx.Timer_slot.create ctx in
     match role with
     | Site.Master_role ->
         Ctx.obs_state ctx "q1";

@@ -92,6 +92,7 @@ type t = {
   on_decide : Types.decision -> unit;
   on_reason : string -> unit;
   mutable decision : Types.decision option;
+  mutable armed : int;  (* Timer_slots with a pending timer *)
 }
 
 let make ~engine ~n ~t_unit ~self ~trans_id ~send ~on_decide ~on_reason
@@ -132,6 +133,7 @@ let make ~engine ~n ~t_unit ~self ~trans_id ~send ~on_decide ~on_reason
     on_decide;
     on_reason;
     decision = None;
+    armed = 0;
   }
 
 let engine t = t.engine
@@ -269,23 +271,31 @@ let decide t ?reason:why decision =
           (match why with Some w -> intern t w | None -> -1);
       t.on_decide decision
 
-module Timer_slot = struct
-  type slot = { mutable handle : Engine.handle option }
+let quiet t = t.armed = 0
 
-  let create () = { handle = None }
+module Timer_slot = struct
+  (* [owner]'s armed count includes this slot while its timer is
+     pending; re-arming a pending slot leaves the count as it is. *)
+  type slot = { mutable handle : Engine.handle option; owner : t }
+
+  let create owner = { handle = None; owner }
 
   let cancel slot =
     match slot.handle with
     | Some h ->
         Engine.cancel h;
-        slot.handle <- None
+        slot.handle <- None;
+        slot.owner.armed <- slot.owner.armed - 1
     | None -> ()
 
   let set_ticks t slot ~ticks ~label f =
-    cancel slot;
+    (match slot.handle with
+    | Some h -> Engine.cancel h
+    | None -> slot.owner.armed <- slot.owner.armed + 1);
     let handle =
       Engine.schedule t.engine ~rank:Engine.Timer ~delay:ticks ~label (fun () ->
           slot.handle <- None;
+          slot.owner.armed <- slot.owner.armed - 1;
           f ())
     in
     slot.handle <- Some handle

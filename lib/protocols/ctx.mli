@@ -151,12 +151,19 @@ val obs_phase : t -> string -> unit
 val obs_instant : t -> ?cat:string -> string -> unit
 (** A zero-duration mark on this site's timeline. *)
 
+val quiet : t -> bool
+(** No {!Timer_slot} armed through this context has a pending timer:
+    the instance can act again only if a message reaches it.  Every
+    protocol timer goes through a slot, so a harness may drop a quiet,
+    decided instance once no message for it is in flight. *)
+
 (** A single resettable timer slot, as used by every protocol state
-    ("reset timer 5T"). *)
+    ("reset timer 5T").  A slot belongs to the context it is created
+    for: while its timer is pending, that context is not {!quiet}. *)
 module Timer_slot : sig
   type slot
 
-  val create : unit -> slot
+  val create : t -> slot
 
   val set : t -> slot -> mult_t:int -> label:Label.t -> (unit -> unit) -> unit
   (** Cancels any pending timer in the slot, then arms it for

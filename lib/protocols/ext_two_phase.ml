@@ -18,7 +18,7 @@ type machine =
 type t = { ctx : Ctx.t; timer : Ctx.Timer_slot.slot; mutable machine : machine }
 
 let create ctx role =
-  let timer = Ctx.Timer_slot.create () in
+  let timer = Ctx.Timer_slot.create ctx in
   match role with
   | Site.Master_role -> { ctx; timer; machine = Master M_initial }
   | Site.Slave_role { vote_yes } ->

@@ -120,7 +120,7 @@ let make ~name:protocol_name fsa assignment =
         ctx;
         machine;
         vote_yes;
-        timer = Ctx.Timer_slot.create ();
+        timer = Ctx.Timer_slot.create ctx;
         state = machine.M.initial;
         votes = [];
       }

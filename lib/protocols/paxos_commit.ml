@@ -70,7 +70,7 @@ module Make (R : RESILIENCE) = struct
         (match role with
         | Site.Master_role -> true
         | Site.Slave_role { vote_yes } -> vote_yes);
-      timer = Ctx.Timer_slot.create ();
+      timer = Ctx.Timer_slot.create ctx;
       acc =
         (if Site_id.to_int self <= acceptor_count n then
            Some (Acceptor.create ~n)

@@ -59,7 +59,7 @@ module Make (W : WEIGHTS) = struct
     {
       ctx;
       role;
-      timer = Ctx.Timer_slot.create ();
+      timer = Ctx.Timer_slot.create ctx;
       base = B_initial;
       terminating = None;
     }

@@ -28,7 +28,7 @@ let create ctx role =
   {
     ctx;
     role;
-    timer = Ctx.Timer_slot.create ();
+    timer = Ctx.Timer_slot.create ctx;
     base = B_initial;
     terminating = None;
   }

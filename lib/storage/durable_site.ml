@@ -1,11 +1,22 @@
 module Int_map = Map.Make (Int)
 
+(* Tids are dense ints: hash them as themselves. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
+
 type t = {
-  mutable wal : Wal.record list;  (* reversed; stable *)
+  mutable wal : Wal.record list;
+      (* reversed; stable; the records since the last checkpoint *)
+  mutable wal_length : int;
+  mutable next_checkpoint : int;  (* [wal_length] that triggers one *)
   db : Kv.t;  (* stable *)
   mutable volatile_staged : Wal.update list Int_map.t;
   index :
-    (int, [ `Active | `Prepared | `Committed | `Aborted | `Ended ]) Hashtbl.t;
+    [ `Active | `Prepared | `Committed | `Aborted | `Ended ] Int_tbl.t;
       (* last status-bearing record per tid, kept in lockstep with
          [wal]; makes [status] O(1) on long-lived sites *)
 }
@@ -16,28 +27,52 @@ type recovery_report = {
   aborted : int list;
 }
 
+(* A log shorter than this is never checkpointed, so short histories
+   keep every record. *)
+let checkpoint_floor = 64
+
 let create () =
   {
     wal = [];
+    wal_length = 0;
+    next_checkpoint = checkpoint_floor;
     db = Kv.create ();
     volatile_staged = Int_map.empty;
-    index = Hashtbl.create 64;
+    index = Int_tbl.create 64;
   }
 
+let finished t tid =
+  match Int_tbl.find_opt t.index tid with
+  | Some (`Ended | `Aborted) -> true
+  | Some (`Active | `Prepared | `Committed) | None -> false
+
+(* The paper's Section 2 rule: a transaction with an [End] (or abort)
+   record needs its log no more, so a checkpoint drops those tids'
+   records and keeps the rest in order.  Taken once the log has
+   doubled since the previous checkpoint, it costs O(1) amortised per
+   append.  It runs before the new record lands, so the log is never
+   empty after an append. *)
+let checkpoint t =
+  t.wal <- List.filter (fun r -> not (finished t (Wal.tid_of r))) t.wal;
+  t.wal_length <- List.length t.wal;
+  t.next_checkpoint <- max checkpoint_floor (2 * t.wal_length)
+
 let append t record =
+  if t.wal_length >= t.next_checkpoint then checkpoint t;
   t.wal <- record :: t.wal;
+  t.wal_length <- t.wal_length + 1;
   match record with
   | Wal.Stage _ -> ()  (* staging does not change the tid's status *)
-  | Wal.Begin { tid } -> Hashtbl.replace t.index tid `Active
-  | Wal.Prepared { tid } -> Hashtbl.replace t.index tid `Prepared
-  | Wal.Commit_log { tid; _ } -> Hashtbl.replace t.index tid `Committed
-  | Wal.Abort_log { tid } -> Hashtbl.replace t.index tid `Aborted
-  | Wal.End { tid } -> Hashtbl.replace t.index tid `Ended
+  | Wal.Begin { tid } -> Int_tbl.replace t.index tid `Active
+  | Wal.Prepared { tid } -> Int_tbl.replace t.index tid `Prepared
+  | Wal.Commit_log { tid; _ } -> Int_tbl.replace t.index tid `Committed
+  | Wal.Abort_log { tid } -> Int_tbl.replace t.index tid `Aborted
+  | Wal.End { tid } -> Int_tbl.replace t.index tid `Ended
 
 let wal_records t = List.rev t.wal
 
 let status t ~tid =
-  match Hashtbl.find_opt t.index tid with
+  match Int_tbl.find_opt t.index tid with
   | Some s -> (s :> [ `Unknown | `Active | `Prepared | `Committed | `Aborted | `Ended ])
   | None -> `Unknown
 
@@ -101,17 +136,33 @@ let abort t ~tid =
   append t (Wal.Abort_log { tid });
   t.volatile_staged <- Int_map.remove tid t.volatile_staged
 
+(* What one replay pass keeps per tid: the updates of its last
+   commit-log and last stage record. *)
+type replayed = {
+  mutable last_commit : Wal.update list option;
+  mutable last_stage : Wal.update list option;
+}
+
 let recover ?(undecided = []) t =
   crash t;
-  let records = wal_records t in
-  let tids =
-    List.fold_left
-      (fun acc record ->
-        let tid = Wal.tid_of record in
-        if List.mem tid acc then acc else tid :: acc)
-      [] records
-    |> List.rev
-  in
+  let seen = Int_tbl.create 64 and first_seen = ref [] in
+  List.iter
+    (fun record ->
+      let tid = Wal.tid_of record in
+      let r =
+        match Int_tbl.find_opt seen tid with
+        | Some r -> r
+        | None ->
+            let r = { last_commit = None; last_stage = None } in
+            Int_tbl.add seen tid r;
+            first_seen := tid :: !first_seen;
+            r
+      in
+      match record with
+      | Wal.Commit_log { updates; _ } -> r.last_commit <- Some updates
+      | Wal.Stage { updates; _ } -> r.last_stage <- Some updates
+      | Wal.Begin _ | Wal.Prepared _ | Wal.Abort_log _ | Wal.End _ -> ())
+    (wal_records t);
   let redone = ref [] and in_doubt = ref [] and aborted = ref [] in
   List.iter
     (fun tid ->
@@ -120,33 +171,14 @@ let recover ?(undecided = []) t =
       | `Committed ->
           (* Redo every update from the commit log; idempotence makes
              replaying already-applied ones harmless. *)
-          let updates =
-            List.fold_left
-              (fun acc record ->
-                match record with
-                | Wal.Commit_log { tid = t'; updates } when t' = tid ->
-                    Some updates
-                | Wal.Commit_log _ | Wal.Stage _ | Wal.Begin _
-                | Wal.Prepared _ | Wal.Abort_log _ | Wal.End _ ->
-                    acc)
-              None records
-          in
-          apply_updates t (Option.value updates ~default:[]);
+          apply_updates t
+            (Option.value (Int_tbl.find seen tid).last_commit ~default:[]);
           append t (Wal.End { tid });
           redone := tid :: !redone
       | `Prepared ->
           (* Re-stage the update information from the forced Stage
              record so a later group-commit can still apply it. *)
-          let staged_updates =
-            List.fold_left
-              (fun acc record ->
-                match record with
-                | Wal.Stage { tid = t'; updates } when t' = tid ->
-                    Some updates
-                | _ -> acc)
-              None records
-          in
-          (match staged_updates with
+          (match (Int_tbl.find seen tid).last_stage with
           | Some updates ->
               t.volatile_staged <- Int_map.add tid updates t.volatile_staged
           | None -> ());
@@ -162,7 +194,7 @@ let recover ?(undecided = []) t =
             append t (Wal.Abort_log { tid });
             aborted := tid :: !aborted
           end)
-    tids;
+    (List.rev !first_seen);
   {
     redone = List.rev !redone;
     in_doubt = List.rev !in_doubt;

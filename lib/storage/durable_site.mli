@@ -13,7 +13,16 @@
       reported {e in doubt} (a 3PC participant must ask the termination
       protocol, not decide locally);
     - transactions with only a [Begin] are aborted, exactly as the paper
-      prescribes ("immediately upon recovery the site will abort"). *)
+      prescribes ("immediately upon recovery the site will abort").
+
+    A transaction with an [End] or abort record needs none of its log
+    for any of this, so the log is checkpointed: on an append that finds
+    it at least 64 records long and twice as long as the previous
+    checkpoint left it, the records of every such tid are dropped and
+    the rest kept in order.  The per-tid status survives, so {!status},
+    double-begin rejection and {!recover} reports are unchanged.  A long
+    run's log is therefore sized by its unfinished transactions, not by
+    its history. *)
 
 type t
 
@@ -57,8 +66,9 @@ val crash : t -> unit
     survive. *)
 
 val recover : ?undecided:int list -> t -> recovery_report
-(** Redo incomplete committed transactions (idempotently), abort
-    unprepared ones, report prepared-undecided ones.  For each in-doubt
+(** One pass over the log: redo incomplete committed transactions
+    (idempotently), abort unprepared ones, report prepared-undecided
+    ones, in the order the log first names them.  For each in-doubt
     transaction the staged updates are restored from its forced
     {!Wal.Stage} record, so a subsequent [commit] applies them.
     Recovering an already-recovered site is harmless: the database is
@@ -77,7 +87,9 @@ val read : t -> string -> string option
 val database : t -> Kv.t
 
 val wal_records : t -> Wal.record list
-(** In append order. *)
+(** The records since the last checkpoint, in append order: every
+    record of each unfinished tid, plus the records of tids that ended
+    or aborted after that checkpoint. *)
 
 val status :
   t -> tid:int -> [ `Unknown | `Active | `Prepared | `Committed | `Aborted | `Ended ]

@@ -130,6 +130,36 @@ let test_auditor_torn () =
   in
   check Alcotest.bool "decision flip raises" true raised
 
+(* Retiring a settled transaction forgets its table entry, never its
+   verdict: every running total reads the same afterwards. *)
+let test_auditor_retire () =
+  let a = Auditor.create ~n:3 () in
+  let decide tid decisions =
+    Auditor.begin_txn a ~tid ~contributions;
+    List.iteri
+      (fun i d -> Auditor.record a ~tid ~site:(site (i + 1)) d)
+      decisions
+  in
+  decide 1 Types.[ Commit; Commit; Commit ];
+  decide 2 Types.[ Commit; Abort; Abort ];
+  decide 3 Types.[ Abort; Abort; Abort ];
+  Auditor.begin_txn a ~tid:4 ~contributions;
+  let totals () =
+    ( Auditor.applied_total a,
+      Auditor.atomic_expected_total a,
+      Auditor.torn_tids a,
+      Auditor.settled a )
+  in
+  let before = totals () in
+  List.iter (fun tid -> Auditor.retire a ~tid) [ 1; 2; 3 ];
+  check Alcotest.bool "totals unchanged by retirement" true (totals () = before);
+  check Alcotest.int "the open one stays open" 1 (Auditor.open_txns a);
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  check Alcotest.bool "an open transaction cannot retire" true
+    (raises (fun () -> Auditor.retire a ~tid:4));
+  check Alcotest.bool "a retired tid is unknown" true
+    (raises (fun () -> Auditor.record a ~tid:1 ~site:(site 1) Types.Commit))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -399,6 +429,51 @@ let test_soak_fault_free_shares_workload () =
   check Alcotest.int "no injected crashes" 0 baseline.Cluster.Soak.crashes;
   check Alcotest.int "no injected cuts" 0 baseline.Cluster.Soak.cut_phases
 
+(* ------------------------------------------------------------------ *)
+(* Retirement: every registry protocol, under a cut, a heal and a      *)
+(* crash-recover window.  A message for a retired transaction raises,  *)
+(* so finishing at all means the rule never let go too early.          *)
+(* ------------------------------------------------------------------ *)
+
+let test_retirement_cluster_all_protocols () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let report =
+        Runtime.run
+          {
+            (Runtime.default_config ~protocol:e.protocol ()) with
+            Runtime.timeline;
+            crashes = [ (site 2, t 50) ];
+            recoveries = [ (site 2, t 120) ];
+          }
+      in
+      check Alcotest.bool (e.name ^ " atomic") true (Runtime.atomic report);
+      check Alcotest.bool (e.name ^ " retires settled work") true
+        (report.Runtime.retired > 0
+        && report.Runtime.retired <= report.Runtime.settled))
+    Registry.all
+
+(* Under this short soak's fault schedule 3pc+rules and 3pc-skeen
+   already tear (a crash during a partition is outside the paper's
+   model); the check is that retirement changes no verdict. *)
+let test_retirement_soak_all_protocols () =
+  let tears = [ "3pc+rules"; "3pc-skeen" ] in
+  List.iter
+    (fun (e : Registry.entry) ->
+      let config = Lazy.force soak_config in
+      let summary =
+        Cluster.Soak.run
+          {
+            config with
+            Cluster.Soak.base =
+              { config.Cluster.Soak.base with Runtime.protocol = e.protocol };
+          }
+      in
+      check Alcotest.bool (e.name ^ " conserved")
+        (not (List.mem e.name tears))
+        (Cluster.Soak.conserved summary))
+    Registry.all
+
 let test_runtime_pause_during_cut () =
   let report =
     Runtime.run
@@ -431,6 +506,8 @@ let () =
           Alcotest.test_case "commit and abort settle" `Quick
             test_auditor_commit_abort;
           Alcotest.test_case "torn transaction" `Quick test_auditor_torn;
+          Alcotest.test_case "retire keeps the totals" `Quick
+            test_auditor_retire;
         ] );
       ( "metrics",
         [ Alcotest.test_case "counters, series, histograms" `Quick
@@ -462,6 +539,13 @@ let () =
             test_runtime_recovery_needs_crash;
           Alcotest.test_case "deterministic JSON" `Quick
             test_runtime_crash_recover_deterministic;
+        ] );
+      ( "retirement",
+        [
+          Alcotest.test_case "cut, heal, crash-recover" `Quick
+            test_retirement_cluster_all_protocols;
+          Alcotest.test_case "short soak" `Quick
+            test_retirement_soak_all_protocols;
         ] );
       ( "soak",
         [

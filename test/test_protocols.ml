@@ -678,7 +678,7 @@ let test_ctx_decide_flip_raises () =
 
 let test_ctx_timer_slot () =
   let engine, ctx = make_ctx () in
-  let slot = Ctx.Timer_slot.create () in
+  let slot = Ctx.Timer_slot.create ctx in
   let fired = ref [] in
   Ctx.Timer_slot.set ctx slot ~mult_t:2 ~label:(Label.Static "a") (fun () -> fired := "a" :: !fired);
   check Alcotest.bool "armed" true (Ctx.Timer_slot.armed slot);
@@ -692,6 +692,28 @@ let test_ctx_timer_slot () =
   Ctx.Timer_slot.cancel slot;
   Engine.run engine;
   check Alcotest.(list string) "cancel works" [ "b" ] !fired
+
+(* [quiet] counts pending timers across a context's slots: arming adds
+   one (re-arming a pending slot does not), firing and cancelling
+   remove one, and cancelling an idle slot changes nothing. *)
+let test_ctx_quiet () =
+  let engine, ctx = make_ctx () in
+  let a = Ctx.Timer_slot.create ctx and b = Ctx.Timer_slot.create ctx in
+  check Alcotest.bool "fresh context is quiet" true (Ctx.quiet ctx);
+  Ctx.Timer_slot.cancel a;
+  check Alcotest.bool "cancelling an idle slot" true (Ctx.quiet ctx);
+  Ctx.Timer_slot.set ctx a ~mult_t:1 ~label:(Label.Static "a") ignore;
+  Ctx.Timer_slot.set ctx a ~mult_t:2 ~label:(Label.Static "a") ignore;
+  Ctx.Timer_slot.set ctx b ~mult_t:5 ~label:(Label.Static "b") ignore;
+  check Alcotest.bool "armed" false (Ctx.quiet ctx);
+  Engine.run ~until:(Vtime.of_int 3000) engine;
+  check Alcotest.bool "b still pending after a fired" false (Ctx.quiet ctx);
+  Ctx.Timer_slot.cancel b;
+  check Alcotest.bool "quiet once b is cancelled" true (Ctx.quiet ctx);
+  Ctx.Timer_slot.set ctx b ~mult_t:1 ~label:(Label.Static "b") (fun () ->
+      Ctx.Timer_slot.set ctx a ~mult_t:1 ~label:(Label.Static "a") ignore);
+  Engine.run engine;
+  check Alcotest.bool "quiet after a re-armed chain drains" true (Ctx.quiet ctx)
 
 let () =
   Alcotest.run "commit_protocols"
@@ -790,5 +812,6 @@ let () =
           Alcotest.test_case "decision flip raises" `Quick
             test_ctx_decide_flip_raises;
           Alcotest.test_case "timer slot" `Quick test_ctx_timer_slot;
+          Alcotest.test_case "quiet" `Quick test_ctx_quiet;
         ] );
     ]

@@ -334,6 +334,40 @@ let recover_idempotent =
       && r2 = r3 && db1 = db2
       && r2.Durable_site.redone = [] && r2.Durable_site.aborted = [])
 
+(* A long-lived site: the log stays sized by its unfinished work, yet a
+   finished tid keeps its status and the in-doubt one survives every
+   checkpoint with its forced updates. *)
+let test_checkpoint_keeps_unfinished () =
+  let s = Durable_site.create () in
+  Durable_site.begin_transaction s ~tid:1;
+  Durable_site.stage s ~tid:1 updates;
+  Durable_site.prepare s ~tid:1;
+  for tid = 2 to 500 do
+    Durable_site.begin_transaction s ~tid;
+    Durable_site.stage s ~tid [ { Wal.key = "c"; value = string_of_int tid } ];
+    Durable_site.commit s ~tid ()
+  done;
+  let wal = Durable_site.wal_records s in
+  check Alcotest.bool "log sized by unfinished work" true (List.length wal < 130);
+  check Alcotest.int "every record of the prepared tid kept" 3
+    (List.length (List.filter (fun r -> Wal.tid_of r = 1) wal));
+  check Alcotest.bool "a checkpointed tid keeps its status" true
+    (Durable_site.status s ~tid:2 = `Ended);
+  check Alcotest.bool "and still rejects a second begin" true
+    (try
+       Durable_site.begin_transaction s ~tid:2;
+       false
+     with Invalid_argument _ -> true);
+  let report = Durable_site.recover s in
+  check Alcotest.(list int) "only the prepared tid is in doubt" [ 1 ]
+    report.Durable_site.in_doubt;
+  check Alcotest.(list int) "nothing to redo" [] report.Durable_site.redone;
+  check Alcotest.(list int) "nothing to abort" [] report.Durable_site.aborted;
+  check Alcotest.bool "its forced updates restaged" true
+    (Durable_site.staged s ~tid:1 = updates);
+  check Alcotest.(option string) "committed work in the database" (Some "500")
+    (Durable_site.read s "c")
+
 (* ------------------------------------------------------------------ *)
 (* Model-based testing: random op sequences vs. a reference model      *)
 (* ------------------------------------------------------------------ *)
@@ -348,57 +382,185 @@ let op_gen =
    and whether its updates must be in the database at quiescence. *)
 type model_status = M_none | M_active | M_prepared | M_committed | M_aborted
 
+(* A reference store that never checkpoints: it keeps the full log and
+   recovers by replaying it from record 0, rescanning it per tid. *)
+module Full_log = struct
+  type t = {
+    mutable log : Wal.record list;  (* newest first *)
+    db : Kv.t;
+    mutable staged : (int * Wal.update list) list;
+  }
+
+  let create () = { log = []; db = Kv.create (); staged = [] }
+
+  let append t r = t.log <- r :: t.log
+
+  let status t tid =
+    List.find_map
+      (fun r ->
+        if Wal.tid_of r <> tid then None
+        else
+          match r with
+          | Wal.Begin _ -> Some `Active
+          | Wal.Prepared _ -> Some `Prepared
+          | Wal.Commit_log _ -> Some `Committed
+          | Wal.Abort_log _ -> Some `Aborted
+          | Wal.End _ -> Some `Ended
+          | Wal.Stage _ -> None)
+      t.log
+    |> Option.value ~default:`Unknown
+
+  let staged t tid = Option.value (List.assoc_opt tid t.staged) ~default:[]
+
+  let unstage t tid = t.staged <- List.remove_assoc tid t.staged
+
+  let begin_transaction t tid = append t (Wal.Begin { tid })
+
+  let stage t tid updates =
+    t.staged <- (tid, updates) :: List.remove_assoc tid t.staged;
+    if status t tid = `Prepared && updates <> [] then
+      append t (Wal.Stage { tid; updates })
+
+  let prepare t tid =
+    (match staged t tid with
+    | [] -> ()
+    | updates -> append t (Wal.Stage { tid; updates }));
+    append t (Wal.Prepared { tid })
+
+  let apply t =
+    List.iter (fun (u : Wal.update) -> Kv.set t.db ~key:u.key ~value:u.value)
+
+  let commit t tid =
+    let updates = staged t tid in
+    append t (Wal.Commit_log { tid; updates });
+    apply t updates;
+    append t (Wal.End { tid });
+    unstage t tid
+
+  let abort t tid =
+    append t (Wal.Abort_log { tid });
+    unstage t tid
+
+  let crash t = t.staged <- []
+
+  let recover t =
+    crash t;
+    let records = List.rev t.log in
+    (* The updates of the tid's last commit-log / stage record. *)
+    let last_commit tid =
+      List.fold_left
+        (fun acc -> function
+          | Wal.Commit_log { tid = t'; updates } when t' = tid -> Some updates
+          | _ -> acc)
+        None records
+    and last_stage tid =
+      List.fold_left
+        (fun acc -> function
+          | Wal.Stage { tid = t'; updates } when t' = tid -> Some updates
+          | _ -> acc)
+        None records
+    in
+    let tids =
+      List.fold_left
+        (fun acc r ->
+          let tid = Wal.tid_of r in
+          if List.mem tid acc then acc else tid :: acc)
+        [] records
+      |> List.rev
+    in
+    List.fold_left
+      (fun (rep : Durable_site.recovery_report) tid ->
+        match status t tid with
+        | `Committed ->
+            (match last_commit tid with
+            | Some updates -> apply t updates
+            | None -> ());
+            append t (Wal.End { tid });
+            { rep with redone = rep.redone @ [ tid ] }
+        | `Prepared ->
+            (match last_stage tid with
+            | Some updates -> t.staged <- (tid, updates) :: t.staged
+            | None -> ());
+            { rep with in_doubt = rep.in_doubt @ [ tid ] }
+        | `Active ->
+            append t (Wal.Abort_log { tid });
+            { rep with aborted = rep.aborted @ [ tid ] }
+        | `Ended | `Aborted | `Unknown -> rep)
+      { Durable_site.redone = []; in_doubt = []; aborted = [] }
+      tids
+
+  let records t = List.rev t.log
+end
+
+(* Operation [k] targets one of four consecutive tids starting at
+   [k / 6], so transactions keep arriving and finishing like a live
+   site's and a long history runs past several checkpoints.  A
+   full-log reference checks every recovery report, and at the end the
+   database and the surviving log. *)
 let durable_model_property =
+  let tid_of_op k j = (k / 6) + j + 1 in
   QCheck.Test.make ~count:300
     ~name:"Durable_site agrees with a reference model on random op sequences"
     QCheck.(make ~print:(fun l -> string_of_int (List.length l))
-              Gen.(list_size (int_bound 40) (pair op_gen (int_bound 2))))
+              Gen.(list_size (int_range 400 1400) (pair op_gen (int_bound 3))))
     (fun ops ->
       let store = Durable_site.create () in
-      let statuses = Array.make 3 M_none in
-      let staged = Array.make 3 false in
+      let full = Full_log.create () in
+      let tids = tid_of_op (List.length ops) 3 in
+      let statuses = Array.make tids M_none in
+      let staged = Array.make tids false in
       let ok = ref true in
       let expect_invalid f =
         match f () with
         | () -> ok := false (* the store accepted an op the model forbids *)
         | exception Invalid_argument _ -> ()
       in
-      List.iter
-        (fun (op, i) ->
-          let tid = i + 1 in
+      List.iteri
+        (fun k (op, j) ->
+          let tid = tid_of_op k j in
+          let i = tid - 1 in
           match (op, statuses.(i)) with
           | O_begin, M_none ->
               Durable_site.begin_transaction store ~tid;
+              Full_log.begin_transaction full tid;
               statuses.(i) <- M_active
           | O_begin, _ ->
               expect_invalid (fun () -> Durable_site.begin_transaction store ~tid)
           | O_stage, (M_active | M_prepared) ->
-              Durable_site.stage store ~tid
-                [ { Wal.key = Printf.sprintf "k%d" tid; value = string_of_int tid } ];
+              let updates =
+                [ { Wal.key = Printf.sprintf "k%d" tid; value = string_of_int tid } ]
+              in
+              Durable_site.stage store ~tid updates;
+              Full_log.stage full tid updates;
               staged.(i) <- true
           | O_stage, _ ->
               expect_invalid (fun () -> Durable_site.stage store ~tid [])
           | O_prepare, M_active ->
               Durable_site.prepare store ~tid;
+              Full_log.prepare full tid;
               statuses.(i) <- M_prepared
           | O_prepare, _ ->
               expect_invalid (fun () -> Durable_site.prepare store ~tid)
           | O_commit, (M_active | M_prepared) ->
               Durable_site.commit store ~tid ();
+              Full_log.commit full tid;
               statuses.(i) <- M_committed
           | O_commit, _ ->
               expect_invalid (fun () -> Durable_site.commit store ~tid ())
           | O_abort, (M_active | M_prepared) ->
               Durable_site.abort store ~tid;
+              Full_log.abort full tid;
               statuses.(i) <- M_aborted;
               staged.(i) <- false
           | O_abort, _ ->
               expect_invalid (fun () -> Durable_site.abort store ~tid)
           | O_crash, _ ->
               Durable_site.crash store;
+              Full_log.crash full;
               Array.iteri (fun j _ -> staged.(j) <- false) staged
           | O_recover, _ ->
               let report = Durable_site.recover store in
+              if report <> Full_log.recover full then ok := false;
               (* recovery aborts actives, leaves prepared in doubt *)
               List.iter
                 (fun tid -> statuses.(tid - 1) <- M_aborted)
@@ -426,6 +588,18 @@ let durable_model_property =
             if Durable_site.read store (Printf.sprintf "k%d" tid) = None then
               ok := false)
         statuses;
+      (* The checkpointed log is the full log minus finished tids: every
+         record of an unfinished tid survives, in order. *)
+      let unfinished r =
+        match Durable_site.status store ~tid:(Wal.tid_of r) with
+        | `Ended | `Aborted -> false
+        | `Unknown | `Active | `Prepared | `Committed -> true
+      in
+      let kept = Durable_site.wal_records store in
+      if List.filter unfinished kept <> List.filter unfinished (Full_log.records full)
+      then ok := false;
+      if Kv.snapshot (Durable_site.database store) <> Kv.snapshot full.Full_log.db
+      then ok := false;
       !ok)
 
 let () =
@@ -465,6 +639,8 @@ let () =
           qtest recovery_always_completes_committed;
           qtest crash_point_equivalence;
           qtest recover_idempotent;
+          Alcotest.test_case "checkpoint keeps unfinished work" `Quick
+            test_checkpoint_keeps_unfinished;
           qtest durable_model_property;
         ] );
     ]
