@@ -202,6 +202,78 @@ let cluster_trace ?crashes () =
   let report = Cluster.Runtime.run config in
   Format.asprintf "%a" Trace.pp report.Commit_cluster.Runtime.trace
 
+(* Event order under same-instant ties.  A steady-shaped run (load 240,
+   window 8, 5T snapshots) whose crash and recovery land on arrival
+   instants: arrival 120 is due at 50000 and arrival 288 at 120000, the
+   same instants as a pump, a metrics cut and the crash or recovery.
+   The report JSON and the JSONL stream pin the order those events run
+   in. *)
+let steady_crash_run =
+  lazy
+    (let module Cluster = Commit_cluster in
+     let config =
+       {
+         (Cluster.Runtime.default_config ()) with
+         Cluster.Runtime.duration = Vtime.of_int (t 160);
+         load = 240;
+         window = 8;
+         snapshot_every = Some (Vtime.of_int (t 5));
+         crashes = [ (Site_id.of_int 2, Vtime.of_int (t 50)) ];
+         recoveries = [ (Site_id.of_int 2, Vtime.of_int (t 120)) ];
+       }
+     in
+     Cluster.Runtime.run config)
+
+let steady_crash_report () =
+  let report = Lazy.force steady_crash_run in
+  Format.asprintf "%a@." Commit_checker.Export.pp
+    (Commit_cluster.Runtime.to_json report)
+
+let steady_crash_stream () =
+  let report = Lazy.force steady_crash_run in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun snap ->
+      Buffer.add_string b
+        (Commit_checker.Export.to_string
+           (Commit_cluster.Metrics.snapshot_to_json
+              report.Commit_cluster.Runtime.metrics snap));
+      Buffer.add_char b '\n')
+    report.Commit_cluster.Runtime.snapshots;
+  Buffer.contents b
+
+(* Tm over hand-built specs given out of [start_at] order; t2 and t1
+   start at the same instant and contend for one key, so the list order
+   (t2 first) decides who waits. *)
+let tm_unsorted_run =
+  lazy
+    (let module Tm = Commit_db.Tm in
+     let w site key value = (Site_id.of_int site, [ { Wal.key; value } ]) in
+     let specs =
+       [
+         Tm.txn ~tid:3 ~start_at:(Vtime.of_int 4000) [ w 2 "x" "3"; w 3 "y" "3" ];
+         Tm.txn ~tid:2 ~start_at:(Vtime.of_int 1000) [ w 2 "x" "2"; w 1 "w" "2" ];
+         Tm.txn ~tid:1 ~start_at:(Vtime.of_int 1000) [ w 2 "x" "1" ];
+         Tm.txn ~tid:4 ~start_at:(Vtime.of_int 500) [ w 3 "y" "4" ];
+         Tm.txn ~tid:5 ~start_at:(Vtime.of_int 4000) [ w 3 "z" "5" ];
+       ]
+     in
+     let config =
+       {
+         (Tm.default_config ~protocol:(module Termination.Static : Site.S) ())
+         with
+         Tm.delay = full;
+         trace_enabled = true;
+       }
+     in
+     Tm.run config specs)
+
+let tm_unsorted_report () =
+  Format.asprintf "%a" Commit_db.Tm.pp_report (Lazy.force tm_unsorted_run)
+
+let tm_unsorted_trace () =
+  Format.asprintf "%a" Trace.pp (Lazy.force tm_unsorted_run).Commit_db.Tm.trace
+
 let db_scenarios =
   [
     ("tm-termination-cut", tm_trace (module Termination.Static : Site.S));
@@ -210,6 +282,10 @@ let db_scenarios =
     ( "cluster-crash",
       fun () ->
         cluster_trace ~crashes:[ (Site_id.of_int 2, Vtime.of_int (t 30)) ] () );
+    ("cluster-steady-crash-report", steady_crash_report);
+    ("cluster-steady-crash-stream", steady_crash_stream);
+    ("tm-unsorted-report", tm_unsorted_report);
+    ("tm-unsorted-trace", tm_unsorted_trace);
   ]
 
 (* ------------------------------------------------------------------ *)
