@@ -875,36 +875,33 @@ module Run (P : Site.S) = struct
           prof_leave state
         end);
     (* The open-loop arrival process: [load] transfers per 100T, evenly
-       spaced, sites drawn from a seed-derived stream. *)
+       spaced, sites drawn from a seed-derived stream.  Arrival [i] is
+       due at [i * spacing_num / load], so the ones before [duration]
+       number ceil(duration * load / spacing_num); they are streamed,
+       so the queue holds one pending arrival, not the whole run's. *)
     let wl_rng = Rng.create (Int64.logxor config.seed 0x9E3779B97F4A7C15L) in
     let spacing_num = 100 * Vtime.to_int config.t_unit in
-    let offered = ref 0 in
-    let rec schedule_arrival i =
-      let at = Vtime.of_int (i * spacing_num / config.load) in
-      if Vtime.( < ) at config.duration then begin
-        incr offered;
-        ignore
-          (Engine.schedule_at engine ~at ~label:(Label.Static "arrival") (fun () ->
-               let tid = i + 1 in
-               let debtor =
-                 Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n)
-               in
-               let creditor =
-                 let rec pick () =
-                   let s = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
-                   if Site_id.equal s debtor then pick () else s
-                 in
-                 pick ()
-               in
-               let spec =
-                 Workload.transfer ~tid ~start_at:(now state) ~debtor ~creditor
-                   ~balance:config.balance ~amount:config.amount
-               in
-               submit state spec));
-        schedule_arrival (i + 1)
-      end
+    let offered =
+      ((Vtime.to_int config.duration * config.load) + spacing_num - 1)
+      / spacing_num
     in
-    schedule_arrival 0;
+    Engine.schedule_stream engine ~label:(Label.Static "arrival") ~count:offered
+      ~at:(fun i -> Vtime.of_int (i * spacing_num / config.load))
+      (fun i ->
+        let tid = i + 1 in
+        let debtor = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
+        let creditor =
+          let rec pick () =
+            let s = Site_id.of_int (Rng.int_in wl_rng ~lo:1 ~hi:config.n) in
+            if Site_id.equal s debtor then pick () else s
+          in
+          pick ()
+        in
+        let spec =
+          Workload.transfer ~tid ~start_at:(now state) ~debtor ~creditor
+            ~balance:config.balance ~amount:config.amount
+        in
+        submit state spec);
     (* A once-per-T pump so queued arrivals drain on window slots and on
        heals even when no completion fires. *)
     let rec pump_loop () =
@@ -958,7 +955,7 @@ module Run (P : Site.S) = struct
     {
       config;
       horizon;
-      offered = !offered;
+      offered;
       admitted = Scheduler.admitted state.scheduler;
       rejected = Scheduler.rejected state.scheduler;
       starved;

@@ -499,24 +499,35 @@ module Run (P : Site.S) = struct
                prof_leave state;
                on_grants state grants)))
       config.crashes;
-    List.iter
-      (fun spec ->
-        let rt =
-          {
-            spec;
-            pending_locks = 0;
-            granted_at = None;
-            instances = None;
-            decisions = Array.make config.n None;
-            decided_ats = Array.make config.n None;
-            victim = false;
-          }
-        in
-        Hashtbl.add state.txns spec.tid rt;
-        ignore
-          (Engine.schedule_at engine ~at:spec.start_at ~label:(Label.Static "txn-start")
-             (fun () -> start_txn state rt)))
-      specs;
+    (* Starts are streamed in [start_at] order.  The sort is stable, so
+       equal start times keep list order, the order up-front scheduling
+       gave them. *)
+    let by_start =
+      Array.of_list
+        (List.map
+           (fun spec ->
+             let rt =
+               {
+                 spec;
+                 pending_locks = 0;
+                 granted_at = None;
+                 instances = None;
+                 decisions = Array.make config.n None;
+                 decided_ats = Array.make config.n None;
+                 victim = false;
+               }
+             in
+             Hashtbl.add state.txns spec.tid rt;
+             rt)
+           specs)
+    in
+    Array.stable_sort
+      (fun a b -> Vtime.compare a.spec.start_at b.spec.start_at)
+      by_start;
+    Engine.schedule_stream engine ~label:(Label.Static "txn-start")
+      ~count:(Array.length by_start)
+      ~at:(fun i -> by_start.(i).spec.start_at)
+      (fun i -> start_txn state by_start.(i));
     Engine.run ~until:config.horizon engine;
     Obs.close_open_spans obs ~at:(Engine.now engine);
     let reports =

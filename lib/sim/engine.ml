@@ -152,6 +152,35 @@ let schedule_at t ?(rank = Background) ~at ~label action =
 let schedule t ?rank ~delay ~label action =
   schedule_at t ?rank ~at:(Vtime.add t.clock delay) ~label action
 
+(* A stream takes its [count] sequence numbers now, as [count] up-front
+   [schedule_at] calls would, but keeps only its next event in the
+   heap: each firing pushes its successor under the successor's
+   reserved key before running.  Keys equal to the up-front ones give
+   the same pop order, while the heap stays sized by in-flight work. *)
+let schedule_stream t ?(rank = Background) ~label ~count ~at action =
+  if count < 0 then invalid_arg "Engine.schedule_stream: negative count";
+  let base = (rank_code rank lsl key_bits) lor t.next_seq in
+  t.next_seq <- t.next_seq + count;
+  let rec push i ~after =
+    let due = at i in
+    if Vtime.( < ) due after then
+      invalid_arg
+        (Format.asprintf "Engine.schedule_stream: event %d at %a is before %a"
+           i Vtime.pp due Vtime.pp after);
+    heap_push t
+      {
+        at = due;
+        key = base + i;
+        live = true;
+        label;
+        action =
+          (fun () ->
+            if i + 1 < count then push (i + 1) ~after:due;
+            action i);
+      }
+  in
+  if count > 0 then push 0 ~after:t.clock
+
 let cancel handle = handle.live <- false
 
 let cancelled handle = not handle.live

@@ -60,6 +60,25 @@ val schedule_at :
 (** Absolute-time variant.  @raise Invalid_argument if [at] is in the
     past. *)
 
+val schedule_stream :
+  t ->
+  ?rank:rank ->
+  label:Label.t ->
+  count:int ->
+  at:(int -> Vtime.t) ->
+  (int -> unit) ->
+  unit
+(** [schedule_stream t ~label ~count ~at f] runs [f i] at [at i] for
+    [i = 0 .. count - 1], in the order of [count] up-front
+    {!schedule_at} calls made now, ties with every other event
+    included: the call reserves the [count] sequence numbers those calls
+    would take.  Only the next event of the stream is queued; running
+    event [i] queues event [i + 1], so [at] is read lazily, once per
+    event.  The events cannot be cancelled.
+    @raise Invalid_argument if [count] is negative, if [at 0] is in the
+    past (at the call), or if [at] decreases (when the earlier event
+    runs). *)
+
 val cancel : handle -> unit
 (** Cancelling an already-run or already-cancelled event is a no-op. *)
 

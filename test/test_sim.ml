@@ -480,6 +480,127 @@ let engine_pops_in_compare_event_order =
       in
       executed = expected)
 
+(* A stream of k events must pop exactly where k up-front
+   [schedule_at] calls made at the same moment would: the same
+   [(at, rank, seq)] keys.  Other events are scheduled before the
+   stream, after it, from inside its events and from inside each other,
+   at equal instants and at all three ranks. *)
+let rank_of = function
+  | 0 -> Engine.Delivery
+  | 1 -> Engine.Timer
+  | _ -> Engine.Background
+
+let stream_run ~streamed (before, after, (start, stream_rank, events)) =
+  let e = Engine.create () in
+  let label = Label.Static "x" in
+  let log = ref [] in
+  let emit id = log := (id, Vtime.to_int (Engine.now e)) :: !log in
+  let other prefix i (delay, rank, nested) =
+    ignore
+      (Engine.schedule e ~rank:(rank_of rank) ~delay:(Vtime.of_int delay) ~label
+         (fun () ->
+           emit (Printf.sprintf "%s%d" prefix i);
+           match nested with
+           | None -> ()
+           | Some (d, r) ->
+               ignore
+                 (Engine.schedule e ~rank:(rank_of r) ~delay:(Vtime.of_int d)
+                    ~label (fun () -> emit (Printf.sprintf "%s%d.n" prefix i)))))
+  in
+  List.iteri (other "b") before;
+  let ats =
+    let at = ref start in
+    Array.of_list
+      (List.map
+         (fun (gap, _) ->
+           at := !at + gap;
+           Vtime.of_int !at)
+         events)
+  in
+  let inner = Array.of_list (List.map snd events) in
+  let fire i =
+    emit (Printf.sprintf "s%d" i);
+    List.iteri
+      (fun j (d, r) ->
+        ignore
+          (Engine.schedule e ~rank:(rank_of r) ~delay:(Vtime.of_int d) ~label
+             (fun () -> emit (Printf.sprintf "s%d.%d" i j))))
+      inner.(i)
+  in
+  let rank = rank_of stream_rank in
+  if streamed then
+    Engine.schedule_stream e ~rank ~label ~count:(Array.length ats)
+      ~at:(fun i -> ats.(i))
+      fire
+  else
+    Array.iteri
+      (fun i at -> ignore (Engine.schedule_at e ~rank ~at ~label (fun () -> fire i)))
+      ats;
+  List.iteri (other "a") after;
+  Engine.run e;
+  (List.rev !log, Engine.events_run e)
+
+let engine_stream_matches_upfront =
+  let small = QCheck.int_bound 2 in
+  let op = QCheck.(triple small small (option (pair small small))) in
+  let inner = QCheck.(list_of_size Gen.(int_bound 4) (pair small small)) in
+  QCheck.Test.make ~count:300
+    ~name:"Engine stream pops like up-front schedule_at"
+    QCheck.(
+      triple (small_list op) (small_list op)
+        (triple small small (small_list (pair small inner))))
+    (fun scenario ->
+      stream_run ~streamed:true scenario = stream_run ~streamed:false scenario)
+
+let test_engine_stream_holds_one () =
+  let e = Engine.create () in
+  let seen = ref [] in
+  Engine.schedule_stream e ~label:(Label.Static "s") ~count:1000
+    ~at:(fun i -> Vtime.of_int (i * 3))
+    (fun i ->
+      check Alcotest.int "only the next is pending"
+        (if i < 999 then 1 else 0)
+        (Engine.pending e);
+      seen := i :: !seen);
+  check Alcotest.int "one pending" 1 (Engine.pending e);
+  Engine.run e;
+  check Alcotest.int "all ran" 1000 (Engine.events_run e);
+  check Alcotest.(list int) "in order" (List.init 1000 Fun.id) (List.rev !seen);
+  check Alcotest.int "clock" 2997 (Vtime.to_int (Engine.now e))
+
+let test_engine_stream_rejects () =
+  let label = Label.Static "s" in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s: no Invalid_argument" name
+  in
+  raises "decreasing at" (fun () ->
+      let e = Engine.create () in
+      let ats = [| 5; 7; 6 |] in
+      Engine.schedule_stream e ~label ~count:3
+        ~at:(fun i -> Vtime.of_int ats.(i))
+        ignore;
+      Engine.run e);
+  raises "first event in the past" (fun () ->
+      let e = Engine.create () in
+      ignore
+        (Engine.schedule_at e ~at:(Vtime.of_int 10) ~label (fun () ->
+             Engine.schedule_stream e ~label ~count:1
+               ~at:(fun _ -> Vtime.of_int 5)
+               ignore));
+      Engine.run e);
+  raises "negative count" (fun () ->
+      Engine.schedule_stream (Engine.create ()) ~label ~count:(-1)
+        ~at:(fun _ -> Vtime.zero)
+        ignore);
+  let e = Engine.create () in
+  Engine.schedule_stream e ~label ~count:0
+    ~at:(fun _ -> Alcotest.fail "read [at] of an empty stream")
+    (fun _ -> Alcotest.fail "ran an empty stream");
+  Engine.run e;
+  check Alcotest.int "empty stream runs nothing" 0 (Engine.events_run e)
+
 let () =
   Alcotest.run "commit_sim"
     [
@@ -551,5 +672,10 @@ let () =
             test_engine_events_run_counts;
           qtest engine_executes_in_time_order;
           qtest engine_pops_in_compare_event_order;
+          Alcotest.test_case "stream holds one pending event" `Quick
+            test_engine_stream_holds_one;
+          Alcotest.test_case "stream rejects bad input" `Quick
+            test_engine_stream_rejects;
+          qtest engine_stream_matches_upfront;
         ] );
     ]
