@@ -97,6 +97,99 @@ let observe t name sample =
     wcell := Stats.Acc.add !wcell sample
   end
 
+(* Handles resolve an instrument's cell on first use and keep it, so a
+   hot caller pays neither the name lookup nor the allocation of a
+   computed name per update.  Cells are never replaced once in their
+   table, so a cached cell stays the one the exports read.  Nothing is
+   created before the first update: an untouched handle leaves the JSON
+   as it was. *)
+module Handle = struct
+  type metrics = t
+
+  type counter = {
+    c_owner : metrics;
+    c_name : string;
+    mutable c_cell : int ref option;
+  }
+
+  type series = {
+    s_owner : metrics;
+    s_name : string;
+    mutable s_buckets : (int, int ref) Hashtbl.t option;
+    mutable s_last : int;  (* bucket of [s_last_cell]; -1 before any *)
+    mutable s_last_cell : int ref;
+  }
+
+  type histogram = {
+    h_owner : metrics;
+    h_name : string;
+    mutable h_cells : (Stats.Acc.acc ref * Stats.Acc.acc ref option) option;
+        (* cumulative, and the window's when a cursor exists *)
+  }
+
+  let counter t name = { c_owner = t; c_name = name; c_cell = None }
+
+  let series t name =
+    {
+      s_owner = t;
+      s_name = name;
+      s_buckets = None;
+      s_last = -1;
+      s_last_cell = ref 0;
+    }
+
+  let histogram t name = { h_owner = t; h_name = name; h_cells = None }
+
+  let incr h =
+    match h.c_cell with
+    | Some cell -> cell := !cell + 1
+    | None ->
+        let cell = find_or h.c_owner.counters h.c_name (fun () -> ref 0) in
+        h.c_cell <- Some cell;
+        cell := !cell + 1
+
+  let mark h ~at =
+    let b = bucket_of h.s_owner at in
+    if b <> h.s_last then begin
+      let buckets =
+        match h.s_buckets with
+        | Some buckets -> buckets
+        | None ->
+            let buckets =
+              find_or h.s_owner.serieses h.s_name (fun () -> Hashtbl.create 32)
+            in
+            h.s_buckets <- Some buckets;
+            buckets
+      in
+      h.s_last <- b;
+      h.s_last_cell <- find_or buckets b (fun () -> ref 0)
+    end;
+    Stdlib.incr h.s_last_cell
+
+  (* A cursor can only be created before anything records, so whether
+     the pipeline is windowed is settled by the time a handle
+     resolves. *)
+  let observe h sample =
+    let cum, win =
+      match h.h_cells with
+      | Some cells -> cells
+      | None ->
+          let t = h.h_owner in
+          let cells =
+            ( find_or t.histograms h.h_name (fun () -> ref Stats.Acc.empty),
+              if t.windowed then
+                Some
+                  (find_or t.window_hists h.h_name (fun () ->
+                       ref Stats.Acc.empty))
+              else None )
+          in
+          h.h_cells <- Some cells;
+          cells
+    in
+    cum := Stats.Acc.add !cum sample;
+    match win with Some w -> w := Stats.Acc.add !w sample | None -> ()
+end
+
 let merge_histogram t name acc =
   let cell = find_or t.histograms name (fun () -> ref Stats.Acc.empty) in
   cell := Stats.Acc.merge !cell acc;

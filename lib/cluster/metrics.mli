@@ -67,6 +67,36 @@ val series_names : t -> string list
 val observe : t -> string -> int -> unit
 (** Add one sample to a histogram. *)
 
+(** Instruments resolved once, for callers on a hot path.  A handle
+    finds (or creates) its instrument on its first update and keeps the
+    cell, so later updates skip the name lookup.  Creating a handle
+    records nothing: an instrument a handle never updates stays out of
+    every export, exactly as if it had never been named. *)
+module Handle : sig
+  type metrics := t
+
+  type counter
+
+  type series
+
+  type histogram
+
+  val counter : metrics -> string -> counter
+
+  val series : metrics -> string -> series
+
+  val histogram : metrics -> string -> histogram
+
+  val incr : counter -> unit
+  (** Same effect as {!Metrics.incr} on the handle's name. *)
+
+  val mark : series -> at:Vtime.t -> unit
+  (** Same effect as {!Metrics.mark}. *)
+
+  val observe : histogram -> int -> unit
+  (** Same effect as {!Metrics.observe}. *)
+end
+
 val histogram : t -> string -> Commit_checker.Stats.t option
 
 val histogram_acc : t -> string -> Commit_checker.Stats.Acc.acc

@@ -188,6 +188,55 @@ let termination_reason =
   in
   fun r -> List.mem r tagged
 
+(* The instruments every transaction updates, resolved once per run. *)
+type instruments = {
+  txn_offered : Metrics.Handle.counter;
+  txn_rejected : Metrics.Handle.counter;
+  txn_committed : Metrics.Handle.counter;
+  txn_aborted : Metrics.Handle.counter;
+  txn_torn : Metrics.Handle.counter;
+  txn_settled : Metrics.Handle.counter;
+  txn_termination : Metrics.Handle.counter;
+  net_probes : Metrics.Handle.counter;
+  arrivals : Metrics.Handle.series;
+  rejections : Metrics.Handle.series;
+  admissions : Metrics.Handle.series;
+  commits : Metrics.Handle.series;
+  aborts : Metrics.Handle.series;
+  terminations : Metrics.Handle.series;
+  wait_queue : Metrics.Handle.histogram;
+  latency_commit : Metrics.Handle.histogram;
+  latency_settle : Metrics.Handle.histogram;
+}
+
+let instruments m =
+  let c = Metrics.Handle.counter m
+  and s = Metrics.Handle.series m
+  and h = Metrics.Handle.histogram m in
+  {
+    txn_offered = c "txn.offered";
+    txn_rejected = c "txn.rejected";
+    txn_committed = c "txn.committed";
+    txn_aborted = c "txn.aborted";
+    txn_torn = c "txn.torn";
+    txn_settled = c "txn.settled";
+    txn_termination = c "txn.termination";
+    net_probes = c "net.probes";
+    arrivals = s "arrivals";
+    rejections = s "rejections";
+    admissions = s "admissions";
+    commits = s "commits";
+    aborts = s "aborts";
+    terminations = s "terminations";
+    wait_queue = h "wait.queue";
+    latency_commit = h "latency.commit";
+    latency_settle = h "latency.settle";
+  }
+
+(* A decision reason's counter and whether it marks a termination,
+   worked out once per distinct reason string. *)
+type reason = { reason_count : Metrics.Handle.counter; terminates : bool }
+
 module Run (P : Site.S) = struct
   type txn_rt = {
     spec : Tm.txn_spec;
@@ -226,6 +275,8 @@ module Run (P : Site.S) = struct
         (* settled with every site decided, waiting to go quiet *)
     mutable retired : int;
     metrics : Metrics.t;
+    ins : instruments;
+    reasons : (string, reason) Hashtbl.t;
     auditor : Auditor.t;
     dead : bool array;  (* crash-stopped sites, index = physical - 1 *)
     horizon : Vtime.t;
@@ -310,12 +361,25 @@ module Run (P : Site.S) = struct
       else Queue.push rt state.retiring
     done
 
+  let classify state r =
+    match Hashtbl.find state.reasons r with
+    | reason -> reason
+    | exception Not_found ->
+        let reason =
+          {
+            reason_count = Metrics.Handle.counter state.metrics ("reason." ^ r);
+            terminates = termination_reason r;
+          }
+        in
+        Hashtbl.add state.reasons r reason;
+        reason
+
   let rec settle state rt =
     rt.settled <- true;
     if all_decided rt then Queue.push rt state.retiring;
     if state.obs_on then obs_seal_track state rt.spec.Tm.tid;
     let at = now state in
-    let m = state.metrics in
+    let ins = state.ins in
     let all d =
       let any = ref false and ok = ref true in
       Array.iteri
@@ -328,23 +392,23 @@ module Run (P : Site.S) = struct
       !any && !ok
     in
     (if all Types.Commit then begin
-       Metrics.incr m "txn.committed";
-       Metrics.mark m ~at "commits";
-       Metrics.observe m "latency.commit" (Vtime.sub at rt.admitted_at)
+       Metrics.Handle.incr ins.txn_committed;
+       Metrics.Handle.mark ins.commits ~at;
+       Metrics.Handle.observe ins.latency_commit (Vtime.sub at rt.admitted_at)
      end
      else if all Types.Abort then begin
-       Metrics.incr m "txn.aborted";
-       Metrics.mark m ~at "aborts"
+       Metrics.Handle.incr ins.txn_aborted;
+       Metrics.Handle.mark ins.aborts ~at
      end
      else begin
-       Metrics.incr m "txn.torn";
+       Metrics.Handle.incr ins.txn_torn;
        if state.tracing then log1 state tmpl_torn rt.spec.tid
      end);
-    Metrics.incr m "txn.settled";
-    Metrics.observe m "latency.settle" (Vtime.sub at rt.admitted_at);
+    Metrics.Handle.incr ins.txn_settled;
+    Metrics.Handle.observe ins.latency_settle (Vtime.sub at rt.admitted_at);
     if rt.terminated then begin
-      Metrics.incr m "txn.termination";
-      Metrics.mark m ~at "terminations"
+      Metrics.Handle.incr ins.txn_termination;
+      Metrics.Handle.mark ins.terminations ~at
     end;
     Scheduler.complete state.scheduler;
     pump state
@@ -429,8 +493,8 @@ module Run (P : Site.S) = struct
         Obs.span_end state.obs ~at ~site:0 ~tid;  (* queued *)
       Obs.span_begin state.obs ~at ~site:0 ~tid ~cat:"txn" "txn"
     end;
-    Metrics.mark state.metrics ~at "admissions";
-    Metrics.observe state.metrics "wait.queue" (Vtime.sub at spec.Tm.start_at);
+    Metrics.Handle.mark state.ins.admissions ~at;
+    Metrics.Handle.observe state.ins.wait_queue (Vtime.sub at spec.Tm.start_at);
     prof_enter state Prof.Auditor;
     Auditor.begin_txn state.auditor ~tid:spec.Tm.tid
       ~contributions:(Workload.transfer_contributions spec);
@@ -477,8 +541,9 @@ module Run (P : Site.S) = struct
                     { wtid = spec.Tm.tid; body })
               ~on_decide:(fun decision -> record_decision state rt i decision)
               ~on_reason:(fun r ->
-                Metrics.incr state.metrics ("reason." ^ r);
-                if termination_reason r then rt.terminated <- true)
+                let reason = classify state r in
+                Metrics.Handle.incr reason.reason_count;
+                if reason.terminates then rt.terminated <- true)
               ~obs:state.obs
               ~obs_site:(Site_id.to_int phys) ()
           in
@@ -530,8 +595,8 @@ module Run (P : Site.S) = struct
 
   let submit state spec =
     let at = now state in
-    Metrics.incr state.metrics "txn.offered";
-    Metrics.mark state.metrics ~at "arrivals";
+    Metrics.Handle.incr state.ins.txn_offered;
+    Metrics.Handle.mark state.ins.arrivals ~at;
     match
       Scheduler.submit state.scheduler
         ~alive:(fun s -> not state.dead.(Site_id.to_int s - 1))
@@ -546,8 +611,8 @@ module Run (P : Site.S) = struct
         if state.obs_on then
           Obs.instant state.obs ~at ~site:0 ~tid:spec.Tm.tid ~cat:"lifecycle"
             "rejected";
-        Metrics.incr state.metrics "txn.rejected";
-        Metrics.mark state.metrics ~at "rejections"
+        Metrics.Handle.incr state.ins.txn_rejected;
+        Metrics.Handle.mark state.ins.rejections ~at
 
   let run ~obs ~scratch config =
     if config.load < 1 then invalid_arg "Runtime.run: load must be >= 1";
@@ -623,6 +688,8 @@ module Run (P : Site.S) = struct
         retiring = Queue.create ();
         retired = 0;
         metrics;
+        ins = instruments metrics;
+        reasons = Hashtbl.create 32;
         auditor = Auditor.create ~n:config.n ();
         dead = Array.make config.n false;
         horizon;
@@ -828,7 +895,7 @@ module Run (P : Site.S) = struct
             let rt = tracked env in
             rt.in_flight <- rt.in_flight + 1;
             match env.payload.body with
-            | Types.Probe _ -> Metrics.incr metrics "net.probes"
+            | Types.Probe _ -> Metrics.Handle.incr state.ins.net_probes
             | _ -> ())
         | Network.Lost { env; at } when Vtime.( < ) env.sent_at at ->
             (* Every hop takes at least one tick (Delay.clamp), so a loss

@@ -63,6 +63,54 @@ let snapshot_merge_exact =
         (Export.to_string (Metrics.to_json merged))
         (Export.to_string (Metrics.to_json final)))
 
+(* Handles are a faster path to the same cells: any sequence of
+   updates through handles, with windowed cuts between them, exports the
+   same JSON and the same snapshot stream as the same updates by name.
+   The handle run creates every handle up front, so the ones it never
+   updates must leave no trace. *)
+let handles_match_names =
+  QCheck.Test.make ~count:200 ~name:"metric handles update like names"
+    QCheck.(
+      pair bool
+        (small_list (quad (int_bound 2) (int_bound 2) (int_bound 40) bool)))
+    (fun (windowed, ops) ->
+      let run ~handles =
+        let m = Metrics.create ~t_unit:(Vtime.of_int 100) () in
+        let cursor = if windowed then Some (Metrics.create_cursor m) else None in
+        let names = [| "a"; "b"; "c" |] in
+        let handles_of make = if handles then Array.map (make m) names else [||] in
+        let cs = handles_of Metrics.Handle.counter in
+        let ss = handles_of Metrics.Handle.series in
+        let hs = handles_of Metrics.Handle.histogram in
+        let now = ref 0 and snaps = ref [] in
+        List.iter
+          (fun (kind, i, v, cut) ->
+            now := !now + (v * 50);
+            let at = Vtime.of_int !now in
+            (match (kind, handles) with
+            | 0, true -> Metrics.Handle.incr cs.(i)
+            | 0, false -> Metrics.incr m names.(i)
+            | 1, true -> Metrics.Handle.mark ss.(i) ~at
+            | 1, false -> Metrics.mark m ~at names.(i)
+            | _, true -> Metrics.Handle.observe hs.(i) v
+            | _, false -> Metrics.observe m names.(i) v);
+            match cursor with
+            | Some c when cut ->
+                snaps := Metrics.snapshot m c ~at ~final:false :: !snaps
+            | Some _ | None -> ())
+          ops;
+        Option.iter
+          (fun c ->
+            snaps :=
+              Metrics.snapshot m c ~at:(Vtime.of_int !now) ~final:true :: !snaps)
+          cursor;
+        Export.to_string (Metrics.to_json m)
+        :: List.rev_map
+             (fun snap -> Export.to_string (Metrics.snapshot_to_json m snap))
+             !snaps
+      in
+      run ~handles:true = run ~handles:false)
+
 let render_lines (report : Runtime.report) =
   List.map
     (fun snap ->
@@ -346,6 +394,7 @@ let () =
       ( "snapshots",
         [
           QCheck_alcotest.to_alcotest snapshot_merge_exact;
+          QCheck_alcotest.to_alcotest handles_match_names;
           Alcotest.test_case "stream deterministic" `Quick
             test_stream_deterministic;
           Alcotest.test_case "sweep stream jobs-invariant" `Quick
