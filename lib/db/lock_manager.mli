@@ -4,8 +4,8 @@
     the owning transaction's commit protocol decides (strictness), which
     is exactly why a {e blocked} commit protocol is expensive: the
     blocked transaction's locks pin its data until the partition heals.
-    The transaction manager uses {!waits_for_edges}/{!find_cycle} for
-    deadlock detection. *)
+    The transaction manager uses {!find_cycle_union} for deadlock
+    detection. *)
 
 type mode = Shared | Exclusive
 
@@ -47,6 +47,14 @@ val waits_for_edges : t -> (int * int) list
 
 val find_cycle : t -> int list option
 (** Some deadlocked cycle of tids (each waits for the next, the last for
-    the first), if any. *)
+    the first), if any.  [find_cycle t = find_cycle_union [| t |]]. *)
+
+val find_cycle_union : t array -> int list option
+(** A cycle in the union of the sites' waits-for graphs (a deadlock
+    that may span sites), in the form {!find_cycle} gives.  One
+    depth-first search, O(V + E): roots in increasing tid order,
+    successors in the order of the sites' {!waits_for_edges}
+    concatenated, and one visited set across roots, so the cycle found
+    is the first one a search restarted from every root would find. *)
 
 val pp : Format.formatter -> t -> unit

@@ -329,55 +329,19 @@ module Run (P : Site.S) = struct
     prof_leave state;
     on_grants state grants
 
+  (* A cycle in the union graph is a (possibly cross-site) deadlock;
+     the youngest transaction (largest tid) dies. *)
   let check_deadlock state =
     prof_enter state Prof.Locks;
-    let edges =
-      Array.to_list state.locks |> List.concat_map Lock_manager.waits_for_edges
-    in
+    let cycle = Lock_manager.find_cycle_union state.locks in
     prof_leave state;
-    if edges <> [] then begin
-      (* A cycle in the union graph is a (possibly cross-site) deadlock;
-         the youngest transaction (largest tid) dies. *)
-      let nodes =
-        List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)
-      in
-      let successors v =
-        List.filter_map (fun (a, b) -> if a = v then Some b else None) edges
-      in
-      let visited = Hashtbl.create 16 in
-      let rec dfs path v =
-        if List.mem v path then
-          let rec cut = function
-            | [] -> []
-            | x :: rest -> if x = v then [ x ] else x :: cut rest
-          in
-          Some (cut path)
-        else if Hashtbl.mem visited v then None
-        else begin
-          Hashtbl.add visited v ();
-          List.fold_left
-            (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
-            None (successors v)
-        end
-      in
-      let cycle =
-        List.fold_left
-          (fun acc v ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                Hashtbl.reset visited;
-                dfs [] v)
-          None nodes
-      in
-      match cycle with
-      | None -> ()
-      | Some tids -> (
-          let victim = List.fold_left Stdlib.max min_int tids in
-          match Hashtbl.find_opt state.txns victim with
-          | Some rt when not rt.victim -> kill_victim state rt
-          | Some _ | None -> ())
-    end
+    match cycle with
+    | None -> ()
+    | Some tids -> (
+        let victim = List.fold_left Stdlib.max min_int tids in
+        match Hashtbl.find_opt state.txns victim with
+        | Some rt when not rt.victim -> kill_victim state rt
+        | Some _ | None -> ())
 
   let start_txn state rt =
     if state.obs_on then

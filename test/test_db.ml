@@ -100,6 +100,69 @@ let test_waits_for_and_cycle () =
     (List.exists (fun g -> g.Lock_manager.tid = 1 && g.key = "b") granted);
   check Alcotest.bool "cycle gone" true (Lock_manager.find_cycle lm = None)
 
+(* The search the transaction manager ran before [find_cycle_union]: a
+   fresh visited set per root, over every node of the concatenated edge
+   list, returning the path from the re-entered node's predecessor back
+   to it.  The union search must find the same first cycle. *)
+let reference_cycle edges =
+  let nodes =
+    List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)
+  in
+  let successors v =
+    List.filter_map (fun (a, b) -> if a = v then Some b else None) edges
+  in
+  let visited = Hashtbl.create 16 in
+  let rec dfs path v =
+    if List.mem v path then
+      let rec cut = function
+        | [] -> []
+        | x :: rest -> if x = v then [ x ] else x :: cut rest
+      in
+      Some (cut path)
+    else if Hashtbl.mem visited v then None
+    else begin
+      Hashtbl.add visited v ();
+      List.fold_left
+        (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
+        None (successors v)
+    end
+  in
+  List.fold_left
+    (fun acc v ->
+      match acc with
+      | Some _ -> acc
+      | None ->
+          Hashtbl.reset visited;
+          dfs [] v)
+    None nodes
+
+let union_cycle_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"find_cycle_union finds the reference search's cycle"
+    QCheck.(
+      pair (int_range 1 3)
+        (small_list
+           (quad (int_bound 2) (int_range 1 6) (int_bound 2) bool)))
+    (fun (n, requests) ->
+      let locks = Array.init n (fun _ -> Lock_manager.create ()) in
+      List.iter
+        (fun (site, tid, key, exclusive) ->
+          ignore
+            (Lock_manager.acquire locks.(site mod n) ~tid
+               ~key:(Printf.sprintf "k%d" key)
+               ~mode:
+                 (if exclusive then Lock_manager.Exclusive
+                  else Lock_manager.Shared)))
+        requests;
+      let edges =
+        List.concat_map Lock_manager.waits_for_edges (Array.to_list locks)
+      in
+      Lock_manager.find_cycle_union locks
+      = Option.map List.rev (reference_cycle edges)
+      && Lock_manager.find_cycle locks.(0)
+         = Option.map List.rev
+             (reference_cycle (Lock_manager.waits_for_edges locks.(0))))
+
 (* ------------------------------------------------------------------ *)
 (* Transaction manager: failure-free                                   *)
 (* ------------------------------------------------------------------ *)
@@ -702,6 +765,7 @@ let () =
             test_upgrade_waits_with_other_readers;
           Alcotest.test_case "waits-for cycle detection" `Quick
             test_waits_for_and_cycle;
+          QCheck_alcotest.to_alcotest union_cycle_matches_reference;
         ] );
       ( "tm",
         [
