@@ -115,79 +115,60 @@ module Handle = struct
   type series = {
     s_owner : metrics;
     s_name : string;
-    mutable s_buckets : (int, int ref) Hashtbl.t option;
-    mutable s_last : int;  (* bucket of [s_last_cell]; -1 before any *)
-    mutable s_last_cell : int ref;
+    mutable s_bucket : int;  (* bucket of [s_cell]; -1 before any mark *)
+    mutable s_cell : int ref;
   }
 
   type histogram = {
     h_owner : metrics;
     h_name : string;
-    mutable h_cells : (Stats.Acc.acc ref * Stats.Acc.acc ref option) option;
-        (* cumulative, and the window's when a cursor exists *)
+    mutable h_cell : Stats.Acc.acc ref option;
+    mutable h_window : Stats.Acc.acc ref option;  (* once a cursor exists *)
   }
 
   let counter t name = { c_owner = t; c_name = name; c_cell = None }
 
   let series t name =
-    {
-      s_owner = t;
-      s_name = name;
-      s_buckets = None;
-      s_last = -1;
-      s_last_cell = ref 0;
-    }
+    { s_owner = t; s_name = name; s_bucket = -1; s_cell = ref 0 }
 
-  let histogram t name = { h_owner = t; h_name = name; h_cells = None }
+  let histogram t name =
+    { h_owner = t; h_name = name; h_cell = None; h_window = None }
 
-  let incr h =
+  let rec incr h =
     match h.c_cell with
     | Some cell -> cell := !cell + 1
     | None ->
-        let cell = find_or h.c_owner.counters h.c_name (fun () -> ref 0) in
-        h.c_cell <- Some cell;
-        cell := !cell + 1
+        h.c_cell <- Some (find_or h.c_owner.counters h.c_name (fun () -> ref 0));
+        incr h
 
   let mark h ~at =
     let b = bucket_of h.s_owner at in
-    if b <> h.s_last then begin
+    if b <> h.s_bucket then begin
       let buckets =
-        match h.s_buckets with
-        | Some buckets -> buckets
-        | None ->
-            let buckets =
-              find_or h.s_owner.serieses h.s_name (fun () -> Hashtbl.create 32)
-            in
-            h.s_buckets <- Some buckets;
-            buckets
+        find_or h.s_owner.serieses h.s_name (fun () -> Hashtbl.create 32)
       in
-      h.s_last <- b;
-      h.s_last_cell <- find_or buckets b (fun () -> ref 0)
+      h.s_bucket <- b;
+      h.s_cell <- find_or buckets b (fun () -> ref 0)
     end;
-    Stdlib.incr h.s_last_cell
+    Stdlib.incr h.s_cell
 
   (* A cursor can only be created before anything records, so whether
      the pipeline is windowed is settled by the time a handle
      resolves. *)
-  let observe h sample =
-    let cum, win =
-      match h.h_cells with
-      | Some cells -> cells
-      | None ->
-          let t = h.h_owner in
-          let cells =
-            ( find_or t.histograms h.h_name (fun () -> ref Stats.Acc.empty),
-              if t.windowed then
-                Some
-                  (find_or t.window_hists h.h_name (fun () ->
-                       ref Stats.Acc.empty))
-              else None )
-          in
-          h.h_cells <- Some cells;
-          cells
-    in
-    cum := Stats.Acc.add !cum sample;
-    match win with Some w -> w := Stats.Acc.add !w sample | None -> ()
+  let rec observe h sample =
+    match h.h_cell with
+    | Some cell -> (
+        cell := Stats.Acc.add !cell sample;
+        match h.h_window with
+        | Some w -> w := Stats.Acc.add !w sample
+        | None -> ())
+    | None ->
+        let t = h.h_owner in
+        let fresh () = ref Stats.Acc.empty in
+        h.h_cell <- Some (find_or t.histograms h.h_name fresh);
+        if t.windowed then
+          h.h_window <- Some (find_or t.window_hists h.h_name fresh);
+        observe h sample
 end
 
 let merge_histogram t name acc =

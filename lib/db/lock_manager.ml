@@ -134,10 +134,10 @@ let waits_for_edges t =
 
 (* One depth-first search over the union of the sites' waits-for
    graphs.  Successors keep the order of the concatenated
-   [waits_for_edges]; roots are tried in increasing tid order.  Nodes
-   stay marked across roots: a node finished without a cycle reaches
-   none, so skipping it later finds the same first cycle as restarting
-   the search from every root, in O(V + E) instead of O(V * (V + E)). *)
+   [waits_for_edges]; roots are tried in increasing tid order.  The
+   visited set is kept across roots: a node visited without finding a
+   cycle reaches none, so skipping it later finds the same first cycle
+   as restarting the search from every root. *)
 let find_cycle_union ts =
   let succ = Hashtbl.create 16 in
   List.iter
@@ -145,35 +145,27 @@ let find_cycle_union ts =
       Hashtbl.replace succ a
         (b :: Option.value (Hashtbl.find_opt succ a) ~default:[]))
     (List.rev (List.concat_map waits_for_edges (Array.to_list ts)));
-  let roots =
-    List.sort Int.compare (Hashtbl.fold (fun v _ acc -> v :: acc) succ [])
-  in
-  let on_path = Hashtbl.create 16 and finished = Hashtbl.create 16 in
-  (* [path] runs from [v]'s parent back to the root. *)
+  let visited = Hashtbl.create 16 in
   let rec dfs path v =
-    if Hashtbl.mem on_path v then
-      let rec cut acc = function
-        | [] -> acc
-        | x :: rest -> if x = v then x :: acc else cut (x :: acc) rest
+    if List.mem v path then
+      let rec cut = function
+        | [] -> []
+        | x :: rest -> if x = v then [ x ] else x :: cut rest
       in
-      Some (cut [] path)
-    else if Hashtbl.mem finished v then None
+      Some (List.rev (cut path))
+    else if Hashtbl.mem visited v then None
     else begin
-      Hashtbl.add on_path v ();
-      let found =
-        List.fold_left
-          (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
-          None
-          (Option.value (Hashtbl.find_opt succ v) ~default:[])
-      in
-      Hashtbl.remove on_path v;
-      Hashtbl.add finished v ();
-      found
+      Hashtbl.add visited v ();
+      List.fold_left
+        (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
+        None
+        (Option.value (Hashtbl.find_opt succ v) ~default:[])
     end
   in
   List.fold_left
     (fun acc v -> match acc with Some _ -> acc | None -> dfs [] v)
-    None roots
+    None
+    (List.sort Int.compare (Hashtbl.fold (fun v _ acc -> v :: acc) succ []))
 
 let find_cycle t = find_cycle_union [| t |]
 

@@ -52,8 +52,8 @@ val find_cycle : t -> int list option
 val find_cycle_union : t array -> int list option
 (** A cycle in the union of the sites' waits-for graphs (a deadlock
     that may span sites), in the form {!find_cycle} gives.  One
-    depth-first search, O(V + E): roots in increasing tid order,
-    successors in the order of the sites' {!waits_for_edges}
+    depth-first search that visits each tid once: roots in increasing
+    tid order, successors in the order of the sites' {!waits_for_edges}
     concatenated, and one visited set across roots, so the cycle found
     is the first one a search restarted from every root would find. *)
 
