@@ -139,33 +139,37 @@ let waits_for_edges t =
    cycle reaches none, so skipping it later finds the same first cycle
    as restarting the search from every root. *)
 let find_cycle_union ts =
-  let succ = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.replace succ a
-        (b :: Option.value (Hashtbl.find_opt succ a) ~default:[]))
-    (List.rev (List.concat_map waits_for_edges (Array.to_list ts)));
-  let visited = Hashtbl.create 16 in
-  let rec dfs path v =
-    if List.mem v path then
-      let rec cut = function
-        | [] -> []
-        | x :: rest -> if x = v then [ x ] else x :: cut rest
+  match List.concat_map waits_for_edges (Array.to_list ts) with
+  | [] -> None
+  | edges ->
+      let succ = Hashtbl.create 16 in
+      List.iter
+        (fun (a, b) ->
+          Hashtbl.replace succ a
+            (b :: Option.value (Hashtbl.find_opt succ a) ~default:[]))
+        (List.rev edges);
+      let visited = Hashtbl.create 16 in
+      let rec dfs path v =
+        if List.mem v path then
+          let rec cut = function
+            | [] -> []
+            | x :: rest -> if x = v then [ x ] else x :: cut rest
+          in
+          Some (List.rev (cut path))
+        else if Hashtbl.mem visited v then None
+        else begin
+          Hashtbl.add visited v ();
+          List.fold_left
+            (fun acc s ->
+              match acc with Some _ -> acc | None -> dfs (v :: path) s)
+            None
+            (Option.value (Hashtbl.find_opt succ v) ~default:[])
+        end
       in
-      Some (List.rev (cut path))
-    else if Hashtbl.mem visited v then None
-    else begin
-      Hashtbl.add visited v ();
       List.fold_left
-        (fun acc s -> match acc with Some _ -> acc | None -> dfs (v :: path) s)
+        (fun acc v -> match acc with Some _ -> acc | None -> dfs [] v)
         None
-        (Option.value (Hashtbl.find_opt succ v) ~default:[])
-    end
-  in
-  List.fold_left
-    (fun acc v -> match acc with Some _ -> acc | None -> dfs [] v)
-    None
-    (List.sort Int.compare (Hashtbl.fold (fun v _ acc -> v :: acc) succ []))
+        (List.sort Int.compare (Hashtbl.fold (fun v _ acc -> v :: acc) succ []))
 
 let find_cycle t = find_cycle_union [| t |]
 
